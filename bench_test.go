@@ -77,7 +77,7 @@ func BenchmarkFig8nReachVaryAlphaAccuracy(b *testing.B) { benchExperiment(b, "fi
 func BenchmarkFig8oReachVaryVTime(b *testing.B)         { benchExperiment(b, "fig8o") }
 func BenchmarkFig8pReachVaryVAccuracy(b *testing.B)     { benchExperiment(b, "fig8p") }
 
-// Ablation benches for the design choices DESIGN.md §5 calls out.
+// Ablation benches: the abl-* experiments of internal/bench/ablation.go.
 
 func BenchmarkAblationFairnessBound(b *testing.B) { benchExperiment(b, "abl-bound") }
 func BenchmarkAblationWeights(b *testing.B)       { benchExperiment(b, "abl-weight") }

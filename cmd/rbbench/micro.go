@@ -220,8 +220,8 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 
 	// The facade request path on a warm plan cache: the same fixture
 	// query as RBSim, issued through DB.Query so the measurement covers
-	// request validation, the cache probe and the legacy-shape-free
-	// result assembly. One warm-up run takes the compile miss up front.
+	// request validation, the cache probe and the Result assembly. One
+	// warm-up run takes the compile miss up front.
 	qdb := rbq.NewDB(g)
 	qreq := rbq.Request{Anchor: rbq.Pin(vp), Alpha: 0.001}
 	if _, err := qdb.Query(context.Background(), q, qreq); err != nil {

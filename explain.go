@@ -135,7 +135,7 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 			ex.Nodes[ex.AnchorNode].Anchor = true
 		}
 		if sel.Unanchored != nil {
-			opts := rbany.Options{Alpha: req.Alpha, Split: rbany.Split(req.Split)}
+			opts := rbany.Options{Alpha: req.Alpha}
 			ex.Shares = toExplainShares(sel.Unanchored.PredictShares(opts, req.Semantics == Subgraph, MaxExplainShares))
 			ex.ShareTotal = countPassingAnchors(sel.Unanchored, opts, req.Semantics == Subgraph)
 		}

@@ -38,12 +38,23 @@ func TestSimulationBatchMatchesSequential(t *testing.T) {
 	g := RandomGraph(4000, 10000, 3, true)
 	db := NewDB(g)
 	qs := batchWorkload(t, g, 50)
-	seq := db.SimulationBatch(qs, 0.01, 1)
-	par := db.SimulationBatch(qs, 0.01, 4)
+	req := Request{Alpha: 0.01}
+	seq, err := db.QueryBatch(t.Context(), qs, req, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := db.QueryBatch(t.Context(), qs, req, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel batch differs from sequential")
 	}
 	for i, r := range seq {
+		single, err := db.Query(t.Context(), qs[i].Q, Request{Alpha: 0.01, Anchor: Pin(qs[i].At)})
+		if err != nil || !reflect.DeepEqual(r, single) {
+			t.Fatalf("result %d: batch %+v != single %+v (%v)", i, r, single, err)
+		}
 		if r.Personalized != qs[i].At {
 			t.Fatalf("result %d pinned at %d, want %d", i, r.Personalized, qs[i].At)
 		}
@@ -58,9 +69,18 @@ func TestSubgraphBatch(t *testing.T) {
 	g := RandomGraph(2000, 5000, 5, false)
 	db := NewDB(g)
 	qs := batchWorkload(t, g, 20)
-	res := db.SubgraphBatch(qs, 0.05, 3)
+	res, err := db.QueryBatch(t.Context(), qs, Request{Semantics: Subgraph, Alpha: 0.05}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != len(qs) {
 		t.Fatalf("got %d results", len(res))
+	}
+	for i, r := range res {
+		single, err := db.Query(t.Context(), qs[i].Q, Request{Semantics: Subgraph, Alpha: 0.05, Anchor: Pin(qs[i].At)})
+		if err != nil || !reflect.DeepEqual(r, single) {
+			t.Fatalf("result %d: batch %+v != single %+v (%v)", i, r, single, err)
+		}
 	}
 }
 
@@ -72,9 +92,12 @@ func TestBatchBadPinYieldsZeroResult(t *testing.T) {
 	pb.SetPersonalized(a)
 	pb.SetOutput(a)
 	q := pb.MustBuild()
-	res := db.SimulationBatch([]AnchoredQuery{{Q: q, At: 0}}, 0.1, 2)
-	if res[0].Matches != nil {
-		t.Fatalf("bad pin produced matches: %v", res[0].Matches)
+	res, err := db.QueryBatch(t.Context(), []AnchoredQuery{{Q: q, At: 0}}, Request{Alpha: 0.1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res[0], Result{Personalized: 0}) {
+		t.Fatalf("bad pin produced a non-zero result: %+v", res[0])
 	}
 }
 
@@ -98,11 +121,14 @@ func TestSimulationUnanchoredEndToEnd(t *testing.T) {
 	q := pb.MustBuild()
 
 	// The anchored API must refuse (label A is not unique)...
-	if _, err := db.Simulation(q, 0.5); err == nil {
+	if _, err := db.Query(t.Context(), q, Request{Alpha: 0.5}); err == nil {
 		t.Fatal("expected uniqueness error")
 	}
 	// ...while the unanchored API answers.
-	res := db.SimulationUnanchored(q, 1.0)
+	res, err := db.Query(t.Context(), q, Request{Mode: Unanchored, Alpha: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(res.Matches, bs) {
 		t.Fatalf("matches = %v, want %v", res.Matches, bs)
 	}
@@ -125,7 +151,10 @@ func TestSubgraphUnanchoredEndToEnd(t *testing.T) {
 	pb.SetPersonalized(pp)
 	pb.SetOutput(pp)
 	q := pb.MustBuild()
-	res := db.SubgraphUnanchored(q, 1.0)
+	res, err := db.Query(t.Context(), q, Request{Semantics: Subgraph, Mode: Unanchored, Alpha: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(res.Matches, []NodeID{0}) {
 		t.Fatalf("matches = %v", res.Matches)
 	}
@@ -142,7 +171,7 @@ func TestSimulationCurveAndMinAlpha(t *testing.T) {
 		}
 		// All queries must target the same DB; rebuild it per extraction
 		// is wasteful, so use a single extraction's graph and pin the
-		// remaining queries on it via SimulationAt-compatible anchors.
+		// remaining queries on it via explicit anchors.
 		db = NewDB(g2)
 		qs = append(qs, AnchoredQuery{Q: q, At: vp})
 		break

@@ -14,8 +14,8 @@ import (
 	"rbq/internal/simulation"
 )
 
-// Ablation studies for the design choices DESIGN.md §5 calls out. Each
-// compares the paper's choice against a degraded variant on the same
+// Ablation studies (the abl-* experiments) for the design choices the
+// paper fixes without measuring alternatives. Each compares the paper's choice against a degraded variant on the same
 // workload, reporting accuracy and data accessed.
 
 func init() {

@@ -22,8 +22,14 @@ import (
 
 var binaryMagic = [4]byte{'R', 'B', 'Q', '1'}
 
-// binaryLimit guards against corrupt headers allocating absurd buffers.
+// binaryLimit is the largest header count ReadBinary accepts.
 const binaryLimit = 1 << 31
+
+// maxPrealloc caps every capacity hint taken from a header count. A
+// corrupt header can claim up to binaryLimit items in a few bytes, so the
+// reader reserves at most this many up front and grows by append as the
+// input actually delivers items.
+const maxPrealloc = 1 << 16
 
 // WriteBinary emits g in the binary format.
 func WriteBinary(w io.Writer, g *graph.Graph) error {
@@ -94,8 +100,8 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if numLabels > binaryLimit {
 		return nil, fmt.Errorf("dataset: absurd label count %d", numLabels)
 	}
-	labels := make([]string, numLabels)
-	for i := range labels {
+	labels := make([]string, 0, min(numLabels, maxPrealloc))
+	for range numLabels {
 		n, err := readU32("label length")
 		if err != nil {
 			return nil, err
@@ -107,7 +113,7 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("dataset: reading label: %w", err)
 		}
-		labels[i] = string(buf)
+		labels = append(labels, string(buf))
 	}
 
 	numNodes, err := readU32("node count")
@@ -117,7 +123,7 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if numNodes > binaryLimit {
 		return nil, fmt.Errorf("dataset: absurd node count %d", numNodes)
 	}
-	b := graph.NewBuilder(int(numNodes), 0)
+	b := graph.NewBuilder(int(min(numNodes, maxPrealloc)), 0)
 	for v := uint32(0); v < numNodes; v++ {
 		l, err := readU32("node label")
 		if err != nil {

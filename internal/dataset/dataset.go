@@ -5,10 +5,11 @@
 // nodes, 4,509,826 recommendation edges) and a Yahoo web snapshot
 // (3,000,022 pages, 14,979,447 links) — that are not redistributable.
 // YoutubeLike and YahooLike generate power-law stand-ins with the same
-// average degree and a heavy-tailed degree distribution; DESIGN.md §4
-// records the substitution and why the algorithms only depend on the
-// properties preserved. Scale defaults to a laptop-friendly fraction of
-// the originals and is adjustable.
+// average degree, a heavy-tailed degree distribution and the paper's
+// 15-label alphabet; these are the properties the budgets, the frontier
+// ranking and the label guards see, while the original graphs' content
+// is not reproduced. Scale defaults to a laptop-friendly fraction of the
+// originals and is adjustable.
 package dataset
 
 import (

@@ -13,11 +13,9 @@
 // The budget is split by selectivity: each candidate's share of α|G| is
 // proportional to its Potential mass p(v, anchor) — the Sl-histogram
 // estimate of how much matching structure lives around v — with a floor
-// of one item, so hopeless anchors cannot starve promising ones (the
-// legacy even-with-rollover split is kept as Options.SplitEven for
-// ablation). The total data accessed stays bounded: shares sum to α|G|,
-// unspent budget rolls over, and each per-candidate run obeys its own
-// visit bound.
+// of one item, so hopeless anchors cannot starve promising ones. The
+// total data accessed stays bounded: shares sum to α|G|, unspent budget
+// rolls over, and each per-candidate run obeys its own visit bound.
 //
 // Anchor selection, candidate enumeration and the Semantics values are a
 // compile-time decision: Prepare performs them once per pattern and the
@@ -41,36 +39,19 @@ import (
 	"rbq/internal/subiso"
 )
 
-// Split selects how the overall budget α|G| is divided among anchor
-// candidates.
-type Split int
-
-const (
-	// SplitWeighted (the default) gives each candidate a share of the
-	// remaining budget proportional to its Potential mass p(v, anchor),
-	// floored at one item; candidates run in decreasing-mass order.
-	SplitWeighted Split = iota
-	// SplitEven is the legacy even-with-rollover split: remaining budget
-	// divided by remaining candidates, in decreasing-degree order. Kept
-	// for the ablation study and as the comparison baseline in tests.
-	SplitEven
-)
-
 // Options configures an unanchored evaluation.
 type Options struct {
-	// Alpha is the overall resource ratio α; the per-candidate budget is
-	// α|G| divided among the anchor candidates (adaptively: unspent budget
-	// rolls over to later candidates).
+	// Alpha is the overall resource ratio α. Each candidate, in
+	// decreasing Potential-mass order, gets a share of the remaining
+	// budget proportional to its mass p(v, anchor), floored at one item;
+	// unspent budget rolls over to later candidates.
 	Alpha float64
-	// Split selects the per-candidate budget division; the zero value is
-	// the selectivity-weighted split.
-	Split Split
 	// MaxAnchors caps how many anchor candidates are tried; zero means
 	// all guard-passing candidates.
 	MaxAnchors int
 	// Workers bounds how many per-anchor rooted runs may execute
-	// concurrently. 0 or 1 evaluates anchors serially — the legacy loop,
-	// unchanged. Higher values run speculative waves (see runWaves) whose
+	// concurrently. 0 or 1 evaluates anchors serially (see runSerial).
+	// Higher values run speculative waves (see runWaves) whose
 	// accepted results are bit-for-bit identical to the serial path. The
 	// request layer passes Request.Parallelism through here, already
 	// capped at GOMAXPROCS.
@@ -254,7 +235,7 @@ func anchorSpan(parent *obs.Span, n int, v graph.NodeID, share int, stats reduce
 // rankAnchors guard-filters the candidates — recording each survivor's
 // Potential mass, the same Sl-histogram estimate the in-reduction
 // frontier ranks by, here reused as the anchor's budget weight — then
-// ranks them by the split's ordering and applies the MaxAnchors trim.
+// ranks them by decreasing mass and applies the MaxAnchors trim.
 // Both execution paths start from this identical (pass, mass) state.
 func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, float64) {
 	g := pr.Aux.Graph()
@@ -280,31 +261,20 @@ func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, flo
 	if len(pass) == 0 {
 		return nil, 0
 	}
-	if opts.Split == SplitEven {
-		// Legacy ranking: higher degree first (hubs reach more of the
-		// pattern's structure per budget unit).
-		slices.SortFunc(pass, func(a, b anchorCand) int {
-			if a.deg != b.deg {
-				return b.deg - a.deg
+	// Higher Potential mass first, so the most promising anchors draw
+	// from the fullest budget; degree, then id, break ties.
+	slices.SortFunc(pass, func(a, b anchorCand) int {
+		if a.pot != b.pot {
+			if a.pot > b.pot {
+				return -1
 			}
-			return int(a.v) - int(b.v)
-		})
-	} else {
-		// Weighted ranking: higher Potential mass first, so the most
-		// promising anchors draw from the fullest budget.
-		slices.SortFunc(pass, func(a, b anchorCand) int {
-			if a.pot != b.pot {
-				if a.pot > b.pot {
-					return -1
-				}
-				return 1
-			}
-			if a.deg != b.deg {
-				return b.deg - a.deg
-			}
-			return int(a.v) - int(b.v)
-		})
-	}
+			return 1
+		}
+		if a.deg != b.deg {
+			return b.deg - a.deg
+		}
+		return int(a.v) - int(b.v)
+	})
 	if opts.MaxAnchors > 0 && len(pass) > opts.MaxAnchors {
 		trimmed := pass[opts.MaxAnchors:]
 		pass = pass[:opts.MaxAnchors]
@@ -317,12 +287,13 @@ func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, flo
 
 // splitShare computes anchor i's budget share from the live rollover
 // state: remaining budget, remaining Potential mass, the candidate's own
-// mass, and how many candidates are left (including this one). This is
+// mass, and how many candidates are left (including this one); with no
+// mass left to weigh by, the remaining budget is shared evenly. This is
 // THE split — serial accounting and wave prediction/validation must call
 // the same code so their float operation sequences agree exactly.
-func splitShare(split Split, remaining int, mass, pot float64, left int) int {
+func splitShare(remaining int, mass, pot float64, left int) int {
 	var share int
-	if split == SplitEven || mass <= 0 {
+	if mass <= 0 {
 		share = remaining / left
 	} else {
 		share = int(float64(remaining) * pot / mass)
@@ -361,7 +332,7 @@ func (pr *Prepared) PredictShares(opts Options, sub bool, limit int) []Share {
 	remaining := int(opts.Alpha * float64(pr.Aux.Graph().Size()))
 	out := make([]Share, 0, min(limit, len(pass)))
 	for j := 0; j < len(pass) && remaining > 0 && len(out) < limit; j++ {
-		share := splitShare(opts.Split, remaining, mass, pass[j].pot, len(pass)-j)
+		share := splitShare(remaining, mass, pass[j].pot, len(pass)-j)
 		out = append(out, Share{V: pass[j].v, Pot: pass[j].pot, Share: share})
 		remaining -= share
 		mass -= pass[j].pot
@@ -387,7 +358,7 @@ func (pr *Prepared) runAnchor(v graph.NodeID, share int, opts Options, kind guar
 	}
 }
 
-// runSerial is the legacy anchor loop: one rooted run at a time, unspent
+// runSerial evaluates the anchors one rooted run at a time, unspent
 // budget rolling over to later candidates.
 func (pr *Prepared) runSerial(res *Result, opts Options, kind guardType, mopts *subiso.Options, pass []anchorCand, mass float64, totalBudget int, ws *obs.Span) []graph.NodeID {
 	var matches []graph.NodeID
@@ -404,7 +375,7 @@ func (pr *Prepared) runSerial(res *Result, opts Options, kind guardType, mopts *
 			break
 		}
 		// Adaptive split: unspent budget rolls over to later candidates.
-		share := splitShare(opts.Split, remaining, mass, c.pot, len(pass)-i)
+		share := splitShare(remaining, mass, c.pot, len(pass)-i)
 		got, stats := pr.runAnchor(c.v, share, opts, kind, mopts)
 		anchorSpan(ws, res.Evaluated, c.v, share, stats, len(got))
 		res.Evaluated++
@@ -455,7 +426,7 @@ func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *s
 	}
 	var matches []graph.NodeID
 	remaining := totalBudget
-	wave := make([]int, 0, opts.Workers)  // indices into pass
+	wave := make([]int, 0, opts.Workers) // indices into pass
 	runs := make([]anchorRun, opts.Workers)
 	i := 0
 	for i < len(pass) && remaining > 0 && !interrupt.Fired(opts.Reduce.Interrupt) {
@@ -466,7 +437,7 @@ func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *s
 		wspan := ws.Child(obs.PhaseWave)
 		predRemaining, predMass := remaining, mass
 		for j := i; j < len(pass) && predRemaining > 0 && len(wave) < opts.Workers; j++ {
-			share := splitShare(opts.Split, predRemaining, predMass, pass[j].pot, len(pass)-j)
+			share := splitShare(predRemaining, predMass, pass[j].pot, len(pass)-j)
 			runs[len(wave)] = anchorRun{share: share}
 			wave = append(wave, j)
 			predRemaining -= share
@@ -486,7 +457,7 @@ func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *s
 				wspan.End()
 				return matches
 			}
-			trueShare := splitShare(opts.Split, remaining, mass, pass[j].pot, len(pass)-j)
+			trueShare := splitShare(remaining, mass, pass[j].pot, len(pass)-j)
 			if trueShare != runs[k].share {
 				// Misprediction: an earlier anchor under-spent, so j's
 				// serial share differs. Discard j and the rest of the

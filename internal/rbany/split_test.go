@@ -2,6 +2,7 @@ package rbany
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rbq/internal/graph"
@@ -13,9 +14,10 @@ import (
 // (output Y). One "good" S node fans out to ten T children, exactly one
 // of which completes the chain; five "decoy" S nodes carry one T child
 // each — low Potential mass — but fat, fully-matching subtrees and padded
-// degree, so the legacy even split (which ranks by degree and divides
-// evenly) burns the budget on them before the good anchor's turn.
-func skewedFixture(t *testing.T) (*graph.Graph, *pattern.Pattern) {
+// degree, so a split that ranked by degree and divided evenly would burn
+// the budget on them before the good anchor's turn. The third result is
+// the good anchor's match, the Y ending its chain.
+func skewedFixture(t *testing.T) (*graph.Graph, *pattern.Pattern, graph.NodeID) {
 	t.Helper()
 	b := graph.NewBuilder(128, 256)
 	add := func(label string) graph.NodeID { return b.AddNode(label) }
@@ -73,47 +75,36 @@ func skewedFixture(t *testing.T) (*graph.Graph, *pattern.Pattern) {
 	y := pb.AddNode("Y")
 	pb.AddEdge(s, tt).AddEdge(tt, u).AddEdge(u, w).AddEdge(w, y)
 	pb.SetPersonalized(s).SetOutput(y)
-	return g, pb.MustBuild()
+	return g, pb.MustBuild(), yStar
 }
 
 // TestWeightedSplitBeatsEven: with a budget too small for six equal
-// shares, the selectivity-weighted split funds the high-mass anchor and
-// finds its match; the legacy even split starves it and misses.
+// shares to cover the good anchor's match, the selectivity-weighted split
+// funds the high-mass anchor and finds its match.
 func TestWeightedSplitBeatsEven(t *testing.T) {
-	g, p := skewedFixture(t)
+	g, p, want := skewedFixture(t)
 	aux := graph.BuildAux(g)
 	// Budget of ~40 items: the good anchor's match needs a 9-item
 	// fragment, an even sixth of 40 cannot cover it.
 	alpha := 40.5 / float64(g.Size())
 
-	weighted := Simulation(aux, p, Options{Alpha: alpha})
-	even := Simulation(aux, p, Options{Alpha: alpha, Split: SplitEven})
-
-	inWeighted := map[graph.NodeID]bool{}
-	for _, v := range weighted.Matches {
-		inWeighted[v] = true
+	res := Simulation(aux, p, Options{Alpha: alpha})
+	if res.Candidates != 6 {
+		t.Fatalf("fixture broken: %d anchor candidates, want 6", res.Candidates)
 	}
-	var missedByEven []graph.NodeID
-	inEven := map[graph.NodeID]bool{}
-	for _, v := range even.Matches {
-		inEven[v] = true
+	if budget := int(alpha * float64(g.Size())); budget/res.Candidates >= 9 {
+		t.Fatalf("fixture broken: an even share of %d covers the 9-item fragment", budget)
 	}
-	for _, v := range weighted.Matches {
-		if !inEven[v] {
-			missedByEven = append(missedByEven, v)
-		}
+	if !slices.Contains(res.Matches, want) {
+		t.Fatalf("weighted split missed the high-mass anchor's match %d: got %v (visited %d)",
+			want, res.Matches, res.Visited)
 	}
-	if len(missedByEven) == 0 {
-		t.Fatalf("weighted split found no match the even split missed\nweighted: %v (visited %d)\neven: %v (visited %d)",
-			weighted.Matches, weighted.Visited, even.Matches, even.Visited)
-	}
-	t.Logf("weighted found %v; even found %v; even missed %v", weighted.Matches, even.Matches, missedByEven)
 }
 
 // TestPreparedUnanchoredMatchesOneShot: compiling once and evaluating via
 // Prepared is bit-for-bit identical to the one-shot helpers.
 func TestPreparedUnanchoredMatchesOneShot(t *testing.T) {
-	g, p := skewedFixture(t)
+	g, p, _ := skewedFixture(t)
 	aux := graph.BuildAux(g)
 	pr := Prepare(aux, p)
 	for _, alpha := range []float64{0.05, 0.2, 0.8} {

@@ -56,7 +56,8 @@ type Semantics interface {
 }
 
 // WeightStrategy selects how frontier candidates are ranked; alternatives
-// to the paper's formula exist for the ablation study of DESIGN.md §5.
+// to the paper's formula exist for the abl-weight ablation in
+// internal/bench/ablation.go.
 type WeightStrategy int
 
 const (

@@ -31,9 +31,9 @@ func preparedFixture(t *testing.T, n int) (*DB, []AnchoredQuery) {
 	return NewDB(g), qs
 }
 
-// TestPreparedEquivalence: every PreparedQuery execute method returns
-// bit-for-bit the same answer as its one-shot DB counterpart, across
-// several generated patterns and resource ratios.
+// TestPreparedEquivalence: PreparedQuery.Query returns bit-for-bit the
+// same answer as DB.Query for every semantics × mode, across several
+// generated patterns and resource ratios.
 func TestPreparedEquivalence(t *testing.T) {
 	db, qs := preparedFixture(t, 4000)
 	for _, aq := range qs {
@@ -41,42 +41,31 @@ func TestPreparedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reqs := []Request{
+			{Mode: Exact, Anchor: Pin(aq.At)},
+			{Semantics: Subgraph, Mode: Exact, Anchor: Pin(aq.At), MaxSteps: 1_000_000},
+		}
 		for _, alpha := range []float64{0.001, 0.01, 0.1} {
-			got, gotErr := pq.RunAt(aq.At, alpha)
-			want, wantErr := db.SimulationAt(aq.Q, aq.At, alpha)
-			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("RunAt(%d, %v) = %+v (%v), one-shot %+v (%v)", aq.At, alpha, got, gotErr, want, wantErr)
-			}
-			got, gotErr = pq.RunSubgraphAt(aq.At, alpha)
-			want, wantErr = db.SubgraphAt(aq.Q, aq.At, alpha)
-			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("RunSubgraphAt(%d, %v) mismatch: %+v vs %+v", aq.At, alpha, got, want)
-			}
-			ur, uw := pq.RunUnanchored(alpha), db.SimulationUnanchored(aq.Q, alpha)
-			if !reflect.DeepEqual(ur, uw) {
-				t.Fatalf("RunUnanchored(%v) = %+v, one-shot %+v", alpha, ur, uw)
-			}
-			ur, uw = pq.RunSubgraphUnanchored(alpha), db.SubgraphUnanchored(aq.Q, alpha)
-			if !reflect.DeepEqual(ur, uw) {
-				t.Fatalf("RunSubgraphUnanchored(%v) = %+v, one-shot %+v", alpha, ur, uw)
-			}
+			reqs = append(reqs,
+				Request{Anchor: Pin(aq.At), Alpha: alpha},
+				Request{Semantics: Subgraph, Anchor: Pin(aq.At), Alpha: alpha},
+				Request{Mode: Unanchored, Alpha: alpha},
+				Request{Semantics: Subgraph, Mode: Unanchored, Alpha: alpha},
+			)
 		}
-		gotM, gotErr := pq.RunExactAt(aq.At)
-		wantM, wantErr := db.SimulationExactAt(aq.Q, aq.At)
-		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotM, wantM) {
-			t.Fatalf("RunExactAt mismatch: %v vs %v", gotM, wantM)
-		}
-		gotS, gotOK, _ := pq.RunSubgraphExactAt(aq.At, 1_000_000)
-		wantS, wantOK, _ := db.SubgraphExactAt(aq.Q, aq.At, 1_000_000)
-		if gotOK != wantOK || !reflect.DeepEqual(gotS, wantS) {
-			t.Fatalf("RunSubgraphExactAt mismatch: %v vs %v", gotS, wantS)
+		for _, req := range reqs {
+			got, gotErr := pq.Query(t.Context(), req)
+			want, wantErr := db.Query(t.Context(), aq.Q, req)
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: prepared %+v (%v), one-shot %+v (%v)", req, got, gotErr, want, wantErr)
+			}
 		}
 	}
 }
 
-// TestPreparedRunUsesCompiledPersonalized: Run/RunExact on a pattern with
-// a unique personalized label behave like Simulation/SimulationExact, and
-// fail with the same error when the label is ambiguous.
+// TestPreparedRunUsesCompiledPersonalized: unpinned bounded and exact
+// requests on a pattern with a unique personalized label answer like
+// DB.Query, and fail with the same error when the label is ambiguous.
 func TestPreparedRunUsesCompiledPersonalized(t *testing.T) {
 	g := YoutubeLike(2000, 1)
 	q, g2, _, err := ExtractPattern(g, 4, 6, 7)
@@ -91,15 +80,12 @@ func TestPreparedRunUsesCompiledPersonalized(t *testing.T) {
 	if vp, ok := pq.Personalized(); !ok || int(vp) < 0 {
 		t.Fatalf("Personalized() = (%d, %v), want a compile-time unique match", vp, ok)
 	}
-	got, err1 := pq.Run(0.01)
-	want, err2 := db.Simulation(q, 0.01)
-	if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("Run = %+v (%v), Simulation = %+v (%v)", got, err1, want, err2)
-	}
-	gotE, _ := pq.RunExact()
-	wantE, _ := db.SimulationExact(q)
-	if !reflect.DeepEqual(gotE, wantE) {
-		t.Fatalf("RunExact = %v, SimulationExact = %v", gotE, wantE)
+	for _, req := range []Request{{Alpha: 0.01}, {Mode: Exact}} {
+		got, err1 := pq.Query(t.Context(), req)
+		want, err2 := db.Query(t.Context(), q, req)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: prepared %+v (%v), one-shot %+v (%v)", req, got, err1, want, err2)
+		}
 	}
 
 	// An ambiguous personalized label errors identically on both paths.
@@ -112,15 +98,15 @@ func TestPreparedRunUsesCompiledPersonalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, errPrep := pqa.Run(0.01)
-	_, errShot := dbAmb.Simulation(amb, 0.01)
+	_, errPrep := pqa.Query(t.Context(), Request{Alpha: 0.01})
+	_, errShot := dbAmb.Query(t.Context(), amb, Request{Alpha: 0.01})
 	if errPrep == nil || errShot == nil || errPrep.Error() != errShot.Error() {
 		t.Fatalf("ambiguous-label errors differ: %v vs %v", errPrep, errShot)
 	}
 }
 
-// TestPreparedRunBatch: RunBatch over pins equals per-pin RunAt, with
-// zero results for invalid pins.
+// TestPreparedRunBatch: PreparedQuery.QueryBatch over pins equals per-pin
+// PreparedQuery.Query, with zero results for invalid pins.
 func TestPreparedRunBatch(t *testing.T) {
 	db, qs := preparedFixture(t, 3000)
 	q := qs[0].Q
@@ -135,27 +121,35 @@ func TestPreparedRunBatch(t *testing.T) {
 	for bad = 0; db.Graph().LabelOf(bad) == l; bad++ {
 	}
 	pins = append(pins, bad)
-	for _, workers := range []int{1, 4} {
-		got := pq.RunBatch(pins, 0.01, workers)
-		if len(got) != len(pins) {
-			t.Fatalf("RunBatch returned %d results for %d pins", len(got), len(pins))
-		}
-		for i, pin := range pins {
-			want, err := pq.RunAt(pin, 0.01)
+	for _, sem := range []Semantics{Simulation, Subgraph} {
+		req := Request{Semantics: sem, Alpha: 0.01}
+		for _, workers := range []int{1, 4} {
+			got, err := pq.QueryBatch(t.Context(), pins, req, workers)
 			if err != nil {
-				want = PatternResult{Personalized: pin}
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("workers=%d pin %d: %+v != %+v", workers, pin, got[i], want)
+			if len(got) != len(pins) {
+				t.Fatalf("QueryBatch returned %d results for %d pins", len(got), len(pins))
 			}
-		}
-		if got[len(got)-1].Matches != nil {
-			t.Fatalf("invalid pin should yield a zero result, got %+v", got[len(got)-1])
+			for i, pin := range pins {
+				r := req
+				r.Anchor = Pin(pin)
+				want, err := pq.Query(t.Context(), r)
+				if err != nil {
+					want = Result{Personalized: pin}
+				}
+				if !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("sem=%d workers=%d pin %d: %+v != %+v", sem, workers, pin, got[i], want)
+				}
+			}
+			if got[len(got)-1].Matches != nil {
+				t.Fatalf("invalid pin should yield a zero result, got %+v", got[len(got)-1])
+			}
 		}
 	}
 }
 
-// TestBatchSharesPreparedTemplates: SimulationBatch answers are unchanged
+// TestBatchSharesPreparedTemplates: DB.QueryBatch answers are unchanged
 // by the per-distinct-pattern preparation (same template at many pins vs
 // distinct templates interleaved).
 func TestBatchSharesPreparedTemplates(t *testing.T) {
@@ -165,11 +159,14 @@ func TestBatchSharesPreparedTemplates(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		batch = append(batch, qs[i%2])
 	}
-	got := db.SimulationBatch(batch, 0.01, 3)
+	got, err := db.QueryBatch(t.Context(), batch, Request{Alpha: 0.01}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, aq := range batch {
-		want, err := db.SimulationAt(aq.Q, aq.At, 0.01)
+		want, err := db.Query(t.Context(), aq.Q, Request{Alpha: 0.01, Anchor: Pin(aq.At)})
 		if err != nil {
-			want = PatternResult{Personalized: aq.At}
+			want = Result{Personalized: aq.At}
 		}
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("batch[%d] = %+v, want %+v", i, got[i], want)
