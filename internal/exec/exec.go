@@ -6,13 +6,14 @@
 // per-anchor waves, the plan layer's selectivity scan, and the facade's
 // QueryBatch sharding.
 //
-// The pool is transient by design: Run spawns at most `workers`
-// goroutines, they drain a shared atomic cursor, and they exit when the
-// index space is exhausted or the done channel fires. Nothing persists
-// between calls — no daemon goroutines to leak from never-closed DBs, no
-// global queue to serialize unrelated queries — and a pool of size one
-// degenerates to an inline loop with zero goroutine overhead, which is
-// how the serial paths stay byte-for-byte what they were.
+// The pool is transient by design: Run spawns at most `workers`−1
+// goroutines, the caller's goroutine joins them in draining a shared
+// atomic cursor, and they exit when the index space is exhausted or the
+// done channel fires. Nothing persists between calls — no daemon
+// goroutines to leak from never-closed DBs, no global queue to serialize
+// unrelated queries — and a pool of size one degenerates to an inline
+// loop with zero goroutine overhead, which is how the serial paths stay
+// byte-for-byte what they were.
 //
 // Determinism is the caller's contract: eval(i) must write only to slot
 // i of its output (every call site merges per-slot results in index
@@ -28,9 +29,10 @@ import (
 )
 
 // Run evaluates eval(i) for every i in [0,n) on at most workers
-// concurrent goroutines. workers is capped at n; with one worker (or
-// fewer) the loop runs inline on the caller's goroutine — no spawn, no
-// synchronization — preserving the serial path exactly.
+// concurrent goroutines, the caller's among them. workers is capped at n;
+// with one worker (or fewer) the loop runs inline on the caller's
+// goroutine — no spawn, no synchronization — preserving the serial path
+// exactly.
 //
 // Cancellation is cooperative and prompt: a fired done channel stops
 // workers from claiming further indices, so at most `workers` already-
@@ -49,21 +51,28 @@ func Run(done <-chan struct{}, n, workers int, eval func(i int)) {
 		}
 		return
 	}
+	// The caller is one of the workers: spawn workers-1 goroutines and
+	// drain inline, so a two-wide fan-out pays one spawn, not two plus a
+	// blocked caller.
 	var next int64 = -1
+	drain := func() {
+		for {
+			i := int(atomic.AddInt64(&next, 1))
+			if i >= n || interrupt.Fired(done) {
+				return
+			}
+			eval(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n || interrupt.Fired(done) {
-					return
-				}
-				eval(i)
-			}
+			drain()
 		}()
 	}
+	drain()
 	wg.Wait()
 }
 

@@ -13,18 +13,29 @@
 // pair; its execute methods then run the engines with the compile step
 // skipped (rbsim.RunPrepared / rbsub.RunPrepared / rbany.Prepared).
 //
-// Compilation is cheap — O(|Q|) label work plus one unique-match probe —
-// so the facade also routes its one-shot methods through pool-recycled
-// Plans (see Bind) without measurable overhead. The compile products are
-// built in two lazy tiers: the unanchored form (anchor choice plus the
-// re-rooted pattern, O(|Q|)) on the first unanchored evaluation, and the
-// full selectivity table — whose Potential-mass scan costs one histogram
-// probe per candidate of every query node — only on an explicit
-// Selectivity call, never implicitly on an execute path.
+// The eager part of compilation is cheap — O(|Q|) label work plus one
+// unique-match probe — so the facade also routes its one-shot methods
+// through pool-recycled Plans (see Bind) without measurable overhead.
+// The rest is built lazily, in three tiers:
 //
-// A Plan is immutable after New (the lazy selectivity table is guarded by
-// a mutex), so one Plan may serve concurrent evaluations: the engines'
-// transient state still comes from the Aux's scratch pools.
+//   - the unanchored form (anchor choice plus the re-rooted pattern,
+//     O(|Q|)) on the first unanchored evaluation;
+//   - the anchor ranking of each query class (the guard filter,
+//     Potential mass and sort over every candidate of the anchor's
+//     label, owned by the rbany.Prepared) on the first unanchored
+//     evaluation or EXPLAIN under that class, then reused by every later
+//     evaluation of the plan — it depends on neither α, the workers nor
+//     the pin;
+//   - the full selectivity table, whose Potential-mass scan costs one
+//     histogram probe per candidate of every query node, only on an
+//     explicit Selectivity call, never implicitly on an execute path.
+//
+// A Plan is immutable after New apart from these lazily built products
+// (the unanchored form and the selectivity table are guarded by a mutex,
+// each ranking by a sync.Once), so one Plan may serve concurrent
+// evaluations: the engines' transient state still comes from the Aux's
+// scratch pools. A plan is compiled against one snapshot's Aux, so none
+// of its products can outlive that snapshot.
 package plan
 
 import (
@@ -207,11 +218,13 @@ func (pl *Plan) SubgraphExact(vp graph.NodeID, mopts *subiso.Options) ([]graph.N
 // SimulationUnanchored evaluates the pattern with no designated
 // personalized match under strong simulation, using the plan's cached
 // anchor choice and re-rooted pattern. The budget split weighs each
-// anchor candidate's Potential mass, computed during the run's guard
-// pass over the anchor's candidates only — the full per-query-node
-// selectivity table (see Selectivity) is not needed here. Options pass
-// through verbatim, including Workers: the per-anchor rooted runs then
-// execute in rbany's speculative waves, bit-for-bit equal to serial.
+// anchor candidate's Potential mass, taken from the plan's anchor
+// ranking: built by the first unanchored simulation of this plan (a
+// guard pass over the anchor's candidates only) and reused by every
+// later one — the full per-query-node selectivity table (see
+// Selectivity) is not needed here. Options pass through verbatim,
+// including Workers: the per-anchor rooted runs then execute in rbany's
+// speculative waves, bit-for-bit equal to serial.
 func (pl *Plan) SimulationUnanchored(opts rbany.Options) rbany.Result {
 	unanch, anchor := pl.unanchored()
 	if unanch == nil {
@@ -232,8 +245,9 @@ func (pl *Plan) SubgraphUnanchored(opts rbany.Options, mopts *subiso.Options) rb
 // unanchored returns the compiled unanchored form (nil when the pattern
 // cannot be anchored) and the chosen anchor, building both on first use.
 // This is the cheap compile product — O(|Q|) label probes — that every
-// unanchored evaluation needs; the candidate-scanning table is built
-// separately by Selectivity.
+// unanchored evaluation needs; the anchor ranking inside it is built on
+// its own first use, and the candidate-scanning table separately by
+// Selectivity.
 func (pl *Plan) unanchored() (*rbany.Prepared, pattern.NodeID) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()

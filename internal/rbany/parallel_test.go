@@ -55,32 +55,30 @@ func parallelFixtures(t *testing.T) []struct {
 // The core determinism property: speculative-wave execution must return
 // a Result bit-for-bit identical to the serial path — matches AND every
 // counter (Evaluated, Visited, FragmentSize, Candidates) — across
-// semantics, budgets, anchor caps and pool widths.
+// semantics, budgets and pool widths.
 func TestParallelUnanchoredBitForBitEqualsSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, fx := range parallelFixtures(t) {
 		for _, alpha := range []float64{0.005, 0.05, 0.3, 1.0} {
-			for _, maxAnchors := range []int{0, 5} {
-				base := Options{Alpha: alpha, MaxAnchors: maxAnchors}
-				pr := Prepare(fx.aux, fx.p)
-				simWant := pr.Simulation(base)
-				subWant := pr.Subgraph(base, nil)
-				subCapWant := pr.Subgraph(base, &subiso.Options{MaxSteps: 200})
-				for _, workers := range []int{1, 2, 4, 8} {
-					opts := base
-					opts.Workers = workers
-					if got := pr.Simulation(opts); !reflect.DeepEqual(got, simWant) {
-						t.Errorf("%s sim α=%v max=%d W=%d:\n got %+v\nwant %+v",
-							fx.name, alpha, maxAnchors, workers, got, simWant)
-					}
-					if got := pr.Subgraph(opts, nil); !reflect.DeepEqual(got, subWant) {
-						t.Errorf("%s sub α=%v max=%d W=%d:\n got %+v\nwant %+v",
-							fx.name, alpha, maxAnchors, workers, got, subWant)
-					}
-					if got := pr.Subgraph(opts, &subiso.Options{MaxSteps: 200}); !reflect.DeepEqual(got, subCapWant) {
-						t.Errorf("%s sub(capped) α=%v max=%d W=%d:\n got %+v\nwant %+v",
-							fx.name, alpha, maxAnchors, workers, got, subCapWant)
-					}
+			base := Options{Alpha: alpha}
+			pr := Prepare(fx.aux, fx.p)
+			simWant := pr.Simulation(base)
+			subWant := pr.Subgraph(base, nil)
+			subCapWant := pr.Subgraph(base, &subiso.Options{MaxSteps: 200})
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := base
+				opts.Workers = workers
+				if got := pr.Simulation(opts); !reflect.DeepEqual(got, simWant) {
+					t.Errorf("%s sim α=%v W=%d:\n got %+v\nwant %+v",
+						fx.name, alpha, workers, got, simWant)
+				}
+				if got := pr.Subgraph(opts, nil); !reflect.DeepEqual(got, subWant) {
+					t.Errorf("%s sub α=%v W=%d:\n got %+v\nwant %+v",
+						fx.name, alpha, workers, got, subWant)
+				}
+				if got := pr.Subgraph(opts, &subiso.Options{MaxSteps: 200}); !reflect.DeepEqual(got, subCapWant) {
+					t.Errorf("%s sub(capped) α=%v W=%d:\n got %+v\nwant %+v",
+						fx.name, alpha, workers, got, subCapWant)
 				}
 			}
 		}

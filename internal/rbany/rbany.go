@@ -20,12 +20,18 @@
 // Anchor selection, candidate enumeration and the Semantics values are a
 // compile-time decision: Prepare performs them once per pattern and the
 // returned Prepared evaluates many times, which is how the plan layer
-// (internal/plan) embeds this engine. Simulation and Subgraph are the
-// one-shot forms that prepare and run in one call.
+// (internal/plan) embeds this engine. The anchor ranking — the guard
+// filter, Potential masses and sort over every anchor candidate — depends
+// only on the pattern, the snapshot and the query class, not on α, the
+// workers or the interrupt, so it is a compile product too: the first
+// evaluation (or PredictShares) of each query class builds it once and
+// every later evaluation of the same Prepared reuses it. Simulation and
+// Subgraph are the one-shot forms that prepare and run in one call.
 package rbany
 
 import (
 	"slices"
+	"sync"
 
 	"rbq/internal/exec"
 	"rbq/internal/graph"
@@ -46,9 +52,6 @@ type Options struct {
 	// budget proportional to its mass p(v, anchor), floored at one item;
 	// unspent budget rolls over to later candidates.
 	Alpha float64
-	// MaxAnchors caps how many anchor candidates are tried; zero means
-	// all guard-passing candidates.
-	MaxAnchors int
 	// Workers bounds how many per-anchor rooted runs may execute
 	// concurrently. 0 or 1 evaluates anchors serially (see runSerial).
 	// Higher values run speculative waves (see runWaves) whose
@@ -101,7 +104,10 @@ func PickAnchor(g *graph.Graph, p *pattern.Pattern) (pattern.NodeID, []graph.Nod
 // anchor, its candidate list, the pattern re-rooted at the anchor, and
 // the pre-bound reduction semantics for both query classes. Compile once
 // with Prepare (or let the plan layer assemble one), then evaluate many
-// times; a Prepared is immutable and safe for concurrent use.
+// times. The exported fields are immutable after construction; the only
+// state a Prepared gains is its per-query-class anchor ranking, built
+// under a sync.Once on first use, so a Prepared is safe for concurrent
+// use and must not be copied once evaluated.
 type Prepared struct {
 	// Aux is the offline structure the reductions run against.
 	Aux *graph.Aux
@@ -119,6 +125,10 @@ type Prepared struct {
 	// labels, so semantics bound to either work identically.
 	SimSem *rbsim.Semantics
 	SubSem *rbsub.Semantics
+
+	// ranks holds the anchor ranking of each query class (indexed by
+	// guardType), built on first use; see ranking.
+	ranks [2]ranking
 }
 
 // Prepare compiles p against aux for unanchored evaluation under both
@@ -168,11 +178,31 @@ const (
 	subSemantics
 )
 
-// anchorCand is one guard-passing anchor candidate with its ranking keys.
+// anchorCand is one guard-passing anchor candidate: what the budget split
+// reads of it.
 type anchorCand struct {
 	v   graph.NodeID
-	deg int
 	pot float64 // Potential mass p(v, anchor), the selectivity estimate
+}
+
+// ranking is one query class's anchor order: the guard-passing
+// candidates by decreasing Potential mass and their summed mass. It costs
+// one guard and Potential probe per anchor candidate plus a sort, and
+// 16 bytes per passing candidate to keep.
+type ranking struct {
+	once sync.Once
+	pass []anchorCand
+	mass float64
+}
+
+// ranked returns kind's anchor ranking, building it on first use. The
+// build runs to completion (it polls no interrupt), so the memo is never
+// a partial ranking; concurrent first callers block until it is done.
+// Callers must not modify the returned slice.
+func (pr *Prepared) ranked(kind guardType) ([]anchorCand, float64) {
+	r := &pr.ranks[kind]
+	r.once.Do(func() { r.pass, r.mass = pr.rankAnchors(kind) })
+	return r.pass, r.mass
 }
 
 func (pr *Prepared) run(opts Options, kind guardType, mopts *subiso.Options) Result {
@@ -187,7 +217,7 @@ func (pr *Prepared) run(opts Options, kind guardType, mopts *subiso.Options) Res
 	sp := opts.Reduce.Obs
 	opts.Reduce.Obs = nil
 	ss := sp.Child(obs.PhaseSelectivity)
-	pass, mass := pr.rankAnchors(opts, kind)
+	pass, mass := pr.ranked(kind)
 	ss.Add("candidates", int64(len(pr.Cands)))
 	ss.Add("passed", int64(len(pass)))
 	ss.Add("mass", int64(mass))
@@ -235,9 +265,9 @@ func anchorSpan(parent *obs.Span, n int, v graph.NodeID, share int, stats reduce
 // rankAnchors guard-filters the candidates — recording each survivor's
 // Potential mass, the same Sl-histogram estimate the in-reduction
 // frontier ranks by, here reused as the anchor's budget weight — then
-// ranks them by decreasing mass and applies the MaxAnchors trim.
-// Both execution paths start from this identical (pass, mass) state.
-func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, float64) {
+// ranks them by decreasing mass. Both execution paths and PredictShares
+// start from this identical (pass, mass) state, memoised by ranked.
+func (pr *Prepared) rankAnchors(kind guardType) ([]anchorCand, float64) {
 	g := pr.Aux.Graph()
 	anchor := pr.Anchor
 	var guard func(graph.NodeID, pattern.NodeID) bool
@@ -248,22 +278,28 @@ func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, flo
 	default:
 		guard, potential = pr.SimSem.Guard, pr.SimSem.Potential
 	}
-	var pass []anchorCand
+	// Degree is only a sort key: it rides in the sort records and is
+	// dropped from the kept ranking.
+	type sortRec struct {
+		anchorCand
+		deg int
+	}
+	var recs []sortRec
 	var mass float64
 	for _, v := range pr.Cands {
 		if !guard(v, anchor) {
 			continue
 		}
-		c := anchorCand{v: v, deg: g.Degree(v), pot: potential(v, anchor)}
+		c := anchorCand{v: v, pot: potential(v, anchor)}
 		mass += c.pot
-		pass = append(pass, c)
+		recs = append(recs, sortRec{c, g.Degree(v)})
 	}
-	if len(pass) == 0 {
+	if len(recs) == 0 {
 		return nil, 0
 	}
 	// Higher Potential mass first, so the most promising anchors draw
 	// from the fullest budget; degree, then id, break ties.
-	slices.SortFunc(pass, func(a, b anchorCand) int {
+	slices.SortFunc(recs, func(a, b sortRec) int {
 		if a.pot != b.pot {
 			if a.pot > b.pot {
 				return -1
@@ -275,12 +311,9 @@ func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, flo
 		}
 		return int(a.v) - int(b.v)
 	})
-	if opts.MaxAnchors > 0 && len(pass) > opts.MaxAnchors {
-		trimmed := pass[opts.MaxAnchors:]
-		pass = pass[:opts.MaxAnchors]
-		for _, c := range trimmed {
-			mass -= c.pot
-		}
+	pass := make([]anchorCand, len(recs))
+	for i, r := range recs {
+		pass[i] = r.anchorCand
 	}
 	return pass, mass
 }
@@ -317,9 +350,10 @@ type Share struct {
 }
 
 // PredictShares guard-ranks the anchor candidates exactly as an
-// evaluation would (same rankAnchors, same splitShare float sequence)
-// and returns up to limit predicted shares in evaluation order. sub
-// selects the isomorphism semantics. Read-only: no reduction runs.
+// evaluation would (the same memoised ranking, the same splitShare float
+// sequence) and returns up to limit predicted shares in evaluation order.
+// sub selects the isomorphism semantics. No reduction runs; the first
+// call of a query class builds its ranking for later evaluations.
 func (pr *Prepared) PredictShares(opts Options, sub bool, limit int) []Share {
 	if pr.Rooted == nil {
 		return nil
@@ -328,7 +362,7 @@ func (pr *Prepared) PredictShares(opts Options, sub bool, limit int) []Share {
 	if sub {
 		kind = subSemantics
 	}
-	pass, mass := pr.rankAnchors(opts, kind)
+	pass, mass := pr.ranked(kind)
 	remaining := int(opts.Alpha * float64(pr.Aux.Graph().Size()))
 	out := make([]Share, 0, min(limit, len(pass)))
 	for j := 0; j < len(pass) && remaining > 0 && len(out) < limit; j++ {

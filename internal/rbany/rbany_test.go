@@ -69,18 +69,6 @@ func TestMissingLabelEmptyAnswer(t *testing.T) {
 	}
 }
 
-func TestMaxAnchorsLimits(t *testing.T) {
-	g := multiMatchGraph()
-	p := abPattern(t)
-	res := Simulation(graph.BuildAux(g), p, Options{Alpha: 1.0, MaxAnchors: 1})
-	if res.Evaluated != 1 {
-		t.Fatalf("evaluated = %d, want 1", res.Evaluated)
-	}
-	if len(res.Matches) != 1 {
-		t.Fatalf("matches = %v", res.Matches)
-	}
-}
-
 func TestBudgetBoundsTotalFragments(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomLabeled(rng, 300, 900, 3)
@@ -180,6 +168,73 @@ func randomPattern(rng *rand.Rand, labels int) *pattern.Pattern {
 		b.SetPersonalized(0).SetOutput(pattern.NodeID(n - 1))
 		if p, err := b.Build(); err == nil {
 			return p
+		}
+	}
+}
+
+// The anchor ranking is a compile product: built once per query class on
+// first use, then returned as is — same backing array — by every later
+// evaluation, ordered by decreasing Potential mass, and equal to a fresh
+// build.
+func TestRankingBuiltOnce(t *testing.T) {
+	fx := parallelFixtures(t)[0]
+	pr := Prepare(fx.aux, fx.p)
+	for _, kind := range []guardType{simSemantics, subSemantics} {
+		pass, mass := pr.ranked(kind)
+		if len(pass) == 0 {
+			t.Fatalf("kind %d: no guard-passing anchor", kind)
+		}
+		again, againMass := pr.ranked(kind)
+		if &again[0] != &pass[0] || againMass != mass {
+			t.Fatalf("kind %d: ranking rebuilt on second use", kind)
+		}
+		for i := 1; i < len(pass); i++ {
+			if pass[i].pot > pass[i-1].pot {
+				t.Fatalf("kind %d: rank %d has mass %v above rank %d's %v",
+					kind, i, pass[i].pot, i-1, pass[i-1].pot)
+			}
+		}
+		fresh, freshMass := pr.rankAnchors(kind)
+		if !reflect.DeepEqual(fresh, pass) || freshMass != mass {
+			t.Fatalf("kind %d: memoised ranking differs from a fresh build", kind)
+		}
+	}
+	// Evaluations read the memo: Candidates is its length.
+	if res := pr.Simulation(Options{Alpha: 0.05}); res.Candidates != len(pr.ranks[simSemantics].pass) {
+		t.Fatalf("Candidates = %d, ranking has %d", res.Candidates, len(pr.ranks[simSemantics].pass))
+	}
+}
+
+// Each query class keeps its own ranking: the isomorphism guard needs one
+// distinct data neighbor per pattern neighbor, simulation only one per
+// label, so here they pass different anchors — whichever class runs
+// first, the other must not see its ranking.
+func TestRankingPerQueryClass(t *testing.T) {
+	// A0 has two B children, A2 only one.
+	g := graph.FromEdges([]string{"A", "B", "A", "B", "B"}, [][2]int{{0, 1}, {0, 4}, {2, 3}})
+	b := pattern.NewBuilder()
+	a := b.AddNode("A")
+	b1 := b.AddNode("B")
+	b2 := b.AddNode("B")
+	b.AddEdge(a, b1).AddEdge(a, b2)
+	b.SetPersonalized(a).SetOutput(b1)
+	p := b.MustBuild()
+	aux := graph.BuildAux(g)
+	opts := Options{Alpha: 1.0}
+	simWant, subWant := Simulation(aux, p, opts), Subgraph(aux, p, opts, nil)
+	if simWant.Candidates != 2 || subWant.Candidates != 1 {
+		t.Fatalf("fixture: sim passes %d anchors, sub %d; want 2 and 1", simWant.Candidates, subWant.Candidates)
+	}
+	for _, simFirst := range []bool{true, false} {
+		pr := Prepare(aux, p)
+		var sim, sub Result
+		if simFirst {
+			sim, sub = pr.Simulation(opts), pr.Subgraph(opts, nil)
+		} else {
+			sub, sim = pr.Subgraph(opts, nil), pr.Simulation(opts)
+		}
+		if !reflect.DeepEqual(sim, simWant) || !reflect.DeepEqual(sub, subWant) {
+			t.Errorf("simFirst=%v: sim %+v sub %+v, want %+v and %+v", simFirst, sim, sub, simWant, subWant)
 		}
 	}
 }

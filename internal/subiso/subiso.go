@@ -215,7 +215,8 @@ func (m *matcher) unassign(u pattern.NodeID, v graph.NodeID) {
 }
 
 // feasible checks label equality, injectivity and edge consistency of
-// mapping u -> v against all already-assigned query nodes.
+// mapping u -> v against all already-assigned query nodes and against u
+// itself (a pattern self-loop).
 func (m *matcher) feasible(u pattern.NodeID, v graph.NodeID) bool {
 	if m.g.LabelOf(v) != m.plabels[u] {
 		return false
@@ -228,7 +229,13 @@ func (m *matcher) feasible(u pattern.NodeID, v graph.NodeID) bool {
 		return false
 	}
 	for _, w := range m.p.Out(u) {
-		if img := m.core[w]; img != graph.NoNode && !m.g.HasEdge(v, img) {
+		img := m.core[w]
+		if w == u {
+			// A self-loop u→u: u is not mapped yet, so check it against
+			// the data edge v→v here or never.
+			img = v
+		}
+		if img != graph.NoNode && !m.g.HasEdge(v, img) {
 			return false
 		}
 	}
@@ -411,7 +418,11 @@ func (m *fragMatcher) feasible(u pattern.NodeID, v int32) bool {
 		return false
 	}
 	for _, w := range m.p.Out(u) {
-		if img := m.sc.core[w]; img >= 0 && !m.csr.HasEdge(v, img) {
+		img := m.sc.core[w]
+		if w == u {
+			img = v // a self-loop u→u needs the data edge v→v
+		}
+		if img >= 0 && !m.csr.HasEdge(v, img) {
 			return false
 		}
 	}

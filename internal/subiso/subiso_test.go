@@ -300,3 +300,53 @@ func randomPattern(rng *rand.Rand, labels int) *pattern.Pattern {
 		}
 	}
 }
+
+// A pattern self-loop u→u must be checked against the data edge v→v:
+// feasible tests u before mapping it, so the loop is the one pattern
+// edge whose both ends are never "already mapped". Both matchers — the
+// standalone one behind Match/MatchOpt and the fragment one behind
+// MatchFragment — must reject an image without the self-loop, on the
+// output node and on the pinned node alike.
+func TestSelfLoopRequiresDataSelfLoop(t *testing.T) {
+	// B1 has no self-loop but enough in/out degree to pass the degree
+	// pruning; B3 and A4 have self-loops; A2 has none.
+	g := graph.FromEdges([]string{"A", "B", "A", "B", "A", "B"},
+		[][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 3}, {4, 4}, {4, 5}})
+	outLoop, err := pattern.Parse("node 0 A*\nnode 1 B!\nedge 0 1\nedge 1 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinLoop, err := pattern.Parse("node 0 A*\nnode 1 B!\nedge 0 1\nedge 0 0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		p    *pattern.Pattern
+		vp   graph.NodeID
+		want []graph.NodeID
+	}{
+		{"output loop absent", outLoop, 0, nil},
+		{"output loop on one of two", outLoop, 2, []graph.NodeID{3}},
+		{"pin loop absent", pinLoop, 2, nil},
+		{"pin loop present", pinLoop, 4, []graph.NodeID{5}},
+	}
+	all := make([]graph.NodeID, g.NumNodes())
+	for i := range all {
+		all[i] = graph.NodeID(i)
+	}
+	var csr graph.FragCSR
+	g.CSRInto(all, &csr)
+	var sc Scratch
+	for _, c := range cases {
+		if got, ok := Match(g, c.p, c.vp, nil); !ok || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Match = %v (complete %v), want %v", c.name, got, ok, c.want)
+		}
+		if got, ok := MatchOpt(g, c.p, c.vp, nil); !ok || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: MatchOpt = %v (complete %v), want %v", c.name, got, ok, c.want)
+		}
+		if got, ok := MatchFragment(g, &csr, c.p, csr.PosOf(c.vp), nil, &sc); !ok || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: MatchFragment = %v (complete %v), want %v", c.name, got, ok, c.want)
+		}
+	}
+}
